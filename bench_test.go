@@ -122,6 +122,31 @@ func BenchmarkScenarioSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkScenarioBind measures Scenario.Bind on a uniform array ladder:
+// topology and router construction, the demand matrix, and the exact
+// demand analysis (route walk, traffic equations) that fixes λ*. At 16²
+// the O(E³) dense traffic solve is a large share; at 32² the iterative
+// solver runs and the route walk dominates. Every load point of every
+// scenario workload pays this once before any packet is simulated.
+func BenchmarkScenarioBind(b *testing.B) {
+	for _, n := range []int{16, 32} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			s := workload.Scenario{
+				Name:     fmt.Sprintf("bind-uniform%d", n),
+				Topology: workload.TopologySpec{Kind: "array", N: n},
+				Pattern:  workload.PatternSpec{Kind: "uniform"},
+				Loads:    []float64{0.5, 0.8, 0.9},
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Bind(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStepSlots measures the synchronous slotted engine
 // (internal/stepsim): one full run per iteration at ρ = 0.8, with the
 // Engine reused across iterations exactly as the sweep pool reuses it, so

@@ -118,29 +118,39 @@ func appendColFirst(buf []int, a *topology.Array2D, src, dst int) []int {
 }
 
 // appendRowWalk appends the horizontal edges moving along row r from column
-// c1 to column c2.
+// c1 to column c2. Along a row the edge ids of one direction are
+// consecutive (see the Array2D id layout), so one EdgeIn call anchors the
+// whole walk.
 func appendRowWalk(buf []int, a *topology.Array2D, r, c1, c2 int) []int {
-	for c := c1; c < c2; c++ {
-		e, _ := a.EdgeIn(r, c, topology.Right)
-		buf = append(buf, e)
-	}
-	for c := c1; c > c2; c-- {
-		e, _ := a.EdgeIn(r, c, topology.Left)
-		buf = append(buf, e)
+	switch {
+	case c1 < c2:
+		e, _ := a.EdgeIn(r, c1, topology.Right)
+		for k := range c2 - c1 {
+			buf = append(buf, e+k)
+		}
+	case c1 > c2:
+		e, _ := a.EdgeIn(r, c1, topology.Left)
+		for k := range c1 - c2 {
+			buf = append(buf, e-k)
+		}
 	}
 	return buf
 }
 
 // appendColWalk appends the vertical edges moving along column c from row r1
-// to row r2.
+// to row r2, anchored the same way as appendRowWalk.
 func appendColWalk(buf []int, a *topology.Array2D, c, r1, r2 int) []int {
-	for r := r1; r < r2; r++ {
-		e, _ := a.EdgeIn(r, c, topology.Down)
-		buf = append(buf, e)
-	}
-	for r := r1; r > r2; r-- {
-		e, _ := a.EdgeIn(r, c, topology.Up)
-		buf = append(buf, e)
+	switch {
+	case r1 < r2:
+		e, _ := a.EdgeIn(r1, c, topology.Down)
+		for k := range r2 - r1 {
+			buf = append(buf, e+k)
+		}
+	case r1 > r2:
+		e, _ := a.EdgeIn(r1, c, topology.Up)
+		for k := range r1 - r2 {
+			buf = append(buf, e-k)
+		}
 	}
 	return buf
 }

@@ -12,11 +12,14 @@ import (
 // destination) pair, so a packet does not need to carry a materialized edge
 // slice: the simulator stores only (cur, dst) and asks for one edge at a
 // time. AppendRoute remains the reference implementation; the two must agree
-// edge for edge (asserted by TestStepperMatchesAppendRoute).
+// edge for edge (asserted by TestStepperMatchesAppendRoute). Every Stepper
+// is also a deterministic Router, so whole-route consumers (the exact
+// demand analysis) walk a route with one AppendRoute call and a nil rng.
 //
 // Implementations must be safe for concurrent use: NextEdge and
 // RemainingHops are pure functions of their arguments.
 type Stepper interface {
+	Router
 	// NextEdge returns the next edge of the route from cur to dst, or
 	// done = true when cur == dst (no edge).
 	NextEdge(cur, dst int) (edge int, done bool)

@@ -83,11 +83,7 @@ type resultAssembly struct {
 // errCancelRequested), the job ctx's cancellation cause, or the first
 // engine/validation error (deterministic, hence permanent).
 func executeSweep(ctx context.Context, rec JobRecord, version string, simWorkers int, st resumeState, h execHooks) ([]byte, error) {
-	sc, err := workload.ParseScenario(rec.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	b, err := sc.Bind()
+	sc, b, err := workload.ParseBind(rec.Scenario)
 	if err != nil {
 		return nil, err
 	}

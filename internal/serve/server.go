@@ -227,7 +227,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "request needs a scenario")
 		return
 	}
-	sc, err := workload.ParseScenario(req.Scenario)
+	sc, bound, err := workload.ParseBind(req.Scenario)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -240,11 +240,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Reject scenarios the slotted engine cannot lower (non-Poisson
 		// arrivals, routers without steppers) at submit time, not after
 		// queueing.
-		b, err := sc.Bind()
-		if err == nil {
-			_, err = b.SlottedConfigs()
-		}
-		if err != nil {
+		if _, err := bound.SlottedConfigs(); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // smallSubmit is a fast three-point sweep on the slotted engine.
@@ -349,6 +351,59 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: code=%d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSlottedSubmitGate pins the slotted submit check, which reuses the
+// submit's single Bind: a bursty spec on the slotted engine gets a 400
+// carrying exactly SlottedConfigs' message (the event engine accepts the
+// same spec), and a slotted spec resubmitted after it finishes returns the
+// byte-identical cached document every time.
+func TestSlottedSubmitGate(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	bursty := `{"name":"x","topology":{"kind":"array","n":4},"pattern":{"kind":"uniform"},
+		"arrivals":{"kind":"bursty"},"loads":[0.5],"horizon":400,"replicas":1}`
+	_, b, err := workload.ParseBind([]byte(bursty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantErr := b.SlottedConfigs()
+	if wantErr == nil {
+		t.Fatal("bursty scenario lowered onto the slotted engine")
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"engine":"slotted","scenario":`+bursty+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Error != wantErr.Error() {
+		t.Fatalf("slotted bursty submit: code=%d error=%q, want 400 %q", resp.StatusCode, body.Error, wantErr)
+	}
+	if code, _, _ := postSweep(t, ts, []byte(`{"engine":"event","scenario":`+bursty+`}`)); code != http.StatusAccepted {
+		t.Fatalf("event bursty submit: code=%d, want 202", code)
+	}
+
+	code, sub, _ := postSweep(t, ts, smallSubmit())
+	if code != http.StatusAccepted {
+		t.Fatalf("slotted submit: code=%d", code)
+	}
+	doc := waitStatus(t, ts, sub.ID, StatusDone)
+	for i := range 2 {
+		code, re, _ := postSweep(t, ts, smallSubmit())
+		if code != http.StatusOK || !re.Cached || re.Key != sub.Key {
+			t.Fatalf("resubmit %d: code=%d cached=%v key=%s, want 200 cached %s", i, code, re.Cached, re.Key, sub.Key)
+		}
+		if !bytes.Equal(re.Result, doc.Result) {
+			t.Fatalf("resubmit %d: cached result not byte-identical:\n first: %s\ncached: %s", i, doc.Result, re.Result)
+		}
 	}
 }
 

@@ -50,6 +50,12 @@ func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMea
 	}
 	sources := topology.Sources(net)
 	tr, meanHops := buildTraffic(net, steppers, demand, sources)
+	return solveAnalysis(tr, meanHops, svcMean, len(sources))
+}
+
+// solveAnalysis solves the traffic equations of tr and derives the edge
+// utilizations, the bottleneck and λ*.
+func solveAnalysis(tr *queueing.Traffic, meanHops float64, svcMean []float64, numSources int) (*Analysis, error) {
 	lambda, err := solveTraffic(tr)
 	if err != nil {
 		return nil, err
@@ -67,7 +73,7 @@ func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMea
 		LambdaStar:  math.Inf(1),
 		MeanHops:    meanHops,
 		svcMean:     svcMean,
-		numSources:  len(sources),
+		numSources:  numSources,
 	}
 	if maxUtil > 0 {
 		a.LambdaStar = 1 / maxUtil
@@ -80,45 +86,83 @@ func Analyze(net topology.Network, router routing.Router, demand *Demand, svcMea
 // route's first edge and the routing chain's transition probabilities are
 // flow-weighted over all (src, dst, choice) triples. It also returns the
 // demand's mean route length.
+//
+// Accumulation-order contract: every accumulator (through, External, each
+// transition's flow, totalHops) receives its float additions in the fixed
+// order sources → destinations → steppers → hops. Float addition does not
+// associate, so this order is part of the result: λ* = 1/max ρ_e sets
+// every load point's NodeRate, and NodeRate drives every simulated
+// arrival, so a last-ulp change here changes every seeded trajectory.
+// Faster orders (e.g. aggregating per destination) are ruled out by that.
+//
+// The walk is map-free: a transition (prev → next) accumulates in one
+// dense slot, slot[prev] + pos[next], where slot[prev] is prev's first
+// slot and pos[next] is next's index among the out-edges of its tail
+// (which is prev's head). That is O(Σ_v indeg·outdeg) floats, a few per
+// edge. Routes[e] is rebuilt from the non-zero slots in out-edge order;
+// neither solver depends on the order within Routes[e].
 func buildTraffic(net topology.Network, steppers []routing.Stepper, demand *Demand, sources []int) (*queueing.Traffic, float64) {
-	numEdges := net.NumEdges()
+	numEdges, numNodes := net.NumEdges(), net.NumNodes()
+	head := make([]int32, numEdges)
+	outStart := make([]int32, numNodes+1)
+	for e := range numEdges {
+		head[e] = int32(net.EdgeTo(e))
+		outStart[net.EdgeFrom(e)+1]++
+	}
+	for v := range numNodes {
+		outStart[v+1] += outStart[v]
+	}
+	// outEdges lists each node's out-edges in ascending edge order (the
+	// CSR column array); pos[e] is e's index within its tail's list.
+	outEdges := make([]int32, numEdges)
+	pos := make([]int32, numEdges)
+	fill := append([]int32(nil), outStart[:numNodes]...)
+	for e := range numEdges {
+		v := net.EdgeFrom(e)
+		pos[e] = fill[v] - outStart[v]
+		outEdges[fill[v]] = int32(e)
+		fill[v]++
+	}
+	slot := make([]int32, numEdges+1)
+	for e := range numEdges {
+		h := head[e]
+		slot[e+1] = slot[e] + outStart[h+1] - outStart[h]
+	}
+	flow := make([]float64, slot[numEdges])
+
 	tr := queueing.NewTraffic(numEdges)
-	flow := make([]map[int]float64, numEdges)
 	through := make([]float64, numEdges)
 	totalHops := 0.0
+	var route []int
 	for _, src := range sources {
-		for dst := 0; dst < net.NumNodes(); dst++ {
+		for dst := range numNodes {
 			p := demand.Prob(src, dst)
 			if p == 0 {
 				continue
 			}
 			w := p / float64(len(steppers))
 			for _, st := range steppers {
+				route = st.AppendRoute(route[:0], src, dst, nil)
 				prev := -1
-				for cur := src; ; {
-					edge, done := st.NextEdge(cur, dst)
-					if done {
-						break
-					}
+				for _, edge := range route {
 					totalHops += w
 					through[edge] += w
 					if prev == -1 {
 						tr.External[edge] += w
 					} else {
-						if flow[prev] == nil {
-							flow[prev] = make(map[int]float64)
-						}
-						flow[prev][edge] += w
+						flow[slot[prev]+pos[edge]] += w
 					}
 					prev = edge
-					cur = net.EdgeTo(edge)
 				}
 			}
 		}
 	}
-	for e, m := range flow {
-		for to, f := range m {
-			tr.Routes[e] = append(tr.Routes[e], queueing.Transition{To: to, Prob: f / through[e]})
+	for e := range numEdges {
+		next := outEdges[outStart[head[e]]:outStart[head[e]+1]]
+		for k, f := range flow[slot[e]:slot[e+1]] {
+			if f != 0 {
+				tr.Routes[e] = append(tr.Routes[e], queueing.Transition{To: int(next[k]), Prob: f / through[e]})
+			}
 		}
 	}
 	return tr, totalHops / float64(len(sources))

@@ -320,11 +320,21 @@ type Scenario struct {
 
 // ParseScenario decodes and validates a JSON scenario.
 func ParseScenario(data []byte) (Scenario, error) {
+	s, _, err := ParseBind(data)
+	return s, err
+}
+
+// ParseBind decodes a JSON scenario and binds it. Validating a scenario
+// is binding it, so a caller that also needs the Bound pays for the exact
+// demand analysis once. The Scenario is returned as decoded, without
+// defaults; the Bound is nil when err is not.
+func ParseBind(data []byte) (Scenario, *Bound, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
-		return Scenario{}, fmt.Errorf("workload: bad scenario JSON: %w", err)
+		return Scenario{}, nil, fmt.Errorf("workload: bad scenario JSON: %w", err)
 	}
-	return s, s.Validate()
+	b, err := s.Bind()
+	return s, b, err
 }
 
 func (s Scenario) withDefaults() Scenario {

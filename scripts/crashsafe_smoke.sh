@@ -15,11 +15,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+. scripts/procs.sh
+
 tmp=$(mktemp -d)
-pids=()
 cleanup() {
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
+    local status=$?
+    stop_tracked || status=1
     rm -rf "$tmp"
+    exit "$status"
 }
 trap cleanup EXIT
 
@@ -41,37 +44,42 @@ cat > "$tmp/spec.json" <<'EOF'
 }
 EOF
 
+# start_server boots sweepd in this shell (so the EXIT trap can stop it)
+# and sets server_addr to its listen address.
 start_server() { # dir logfile extra-args...
     local dir=$1 log=$2; shift 2
     "$tmp/sweepd" -addr 127.0.0.1:0 -dir "$dir" "$@" > "$log" 2>&1 &
     local pid=$!
-    pids+=("$pid")
+    track "$pid"
+    server_addr=""
     for _ in $(seq 100); do
-        grep -q 'listening on' "$log" && break
+        server_addr=$(sed -n 's/^sweepd: listening on \([^ ]*\).*/\1/p' "$log")
+        [ -n "$server_addr" ] && return 0
         kill -0 "$pid" 2>/dev/null || { echo "sweepd died:"; cat "$log"; exit 1; }
         sleep 0.1
     done
-    sed -n 's/^sweepd: listening on \([^ ]*\).*/\1/p' "$log"
+    echo "sweepd never reported its address:"; cat "$log"; exit 1
 }
 
 # --- Reference: the same spec, uninterrupted, in its own journal dir.
-ref_addr=$(start_server "$tmp/ref" "$tmp/ref.log" -workers 1)
+start_server "$tmp/ref" "$tmp/ref.log" -workers 1
+ref_addr=$server_addr
 "$tmp/sweepctl" submit -addr "http://$ref_addr" -engine slotted -stream "$tmp/spec.json" > "$tmp/ref.out"
 grep -q '^done: ' "$tmp/ref.out" || { echo "reference run did not finish"; cat "$tmp/ref.out"; exit 1; }
 key=$(sed -n 's/^key: //p' "$tmp/ref.out")
 [ -n "$key" ] || { echo "no cache key in reference output"; exit 1; }
 
 # --- Crash run: front end only; the sweep runs in a worker process.
-addr=$(start_server "$tmp/data" "$tmp/front.log" -workers 0 -lease-ttl 1s -backoff 100ms)
-base="http://$addr"
+start_server "$tmp/data" "$tmp/front.log" -workers 0 -lease-ttl 1s -backoff 100ms
+base="http://$server_addr"
 "$tmp/sweepd" -worker -dir "$tmp/data" -lease-ttl 1s -backoff 100ms > "$tmp/worker1.log" 2>&1 &
 w1=$!
-pids+=("$w1")
+track "$w1"
 disown "$w1" # keep bash's job control from reporting the deliberate kill -9
 
 "$tmp/sweepctl" submit -addr "$base" -engine slotted -stream "$tmp/spec.json" > "$tmp/crash.out" 2>"$tmp/crash.err" &
 client=$!
-pids+=("$client")
+track "$client"
 
 # Wait for ladder point 1's journal record — the worker is now inside
 # point 2 — then kill -9 the worker, leaving a stale lease and a torn run.
@@ -88,7 +96,7 @@ echo "worker $w1 killed -9 mid-point-2"
 # resume the job from its checkpoint.
 "$tmp/sweepd" -worker -dir "$tmp/data" -lease-ttl 1s -backoff 100ms > "$tmp/worker2.log" 2>&1 &
 w2=$!
-pids+=("$w2")
+track "$w2"
 
 for _ in $(seq 1200); do
     kill -0 "$client" 2>/dev/null || break

@@ -7,11 +7,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+. scripts/procs.sh
+
 tmp=$(mktemp -d)
-pid=""
 cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+    local status=$?
+    stop_tracked || status=1
     rm -rf "$tmp"
+    exit "$status"
 }
 trap cleanup EXIT
 
@@ -33,6 +36,7 @@ EOF
 
 "$tmp/sweepd" -addr 127.0.0.1:0 -cache-dir "$tmp/cache" > "$tmp/sweepd.log" 2>&1 &
 pid=$!
+track "$pid"
 for _ in $(seq 100); do
     grep -q 'listening on' "$tmp/sweepd.log" && break
     kill -0 "$pid" 2>/dev/null || { echo "sweepd died:"; cat "$tmp/sweepd.log"; exit 1; }
